@@ -852,12 +852,37 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	return st, nil
 }
 
+// Read-ahead window of a remote cursor, in entries: the first refill after
+// opening, seeking or reversing direction asks for stepWindowMin entries,
+// and each further refill in the same direction doubles the request up to
+// stepWindowMax (the server also ends a batch at server.MaxStepBytes).
+const (
+	stepWindowMin = 8
+	stepWindowMax = server.MaxStepEntries
+)
+
 // Cursor is a remote cursor over a log file. Its server-side state lives in
 // the client's session, so it survives reconnects — but not server
 // restarts.
+//
+// Next and Prev are served from a read-ahead buffer filled by
+// server.OpCursorStep, one round trip per batch instead of one per entry.
+// The buffer never holds an end-of-log answer, so a live log's new entries
+// show up on the next call. A Cursor is safe for concurrent use.
 type Cursor struct {
 	c      *Client
 	handle uint32
+
+	// mu guards the read-ahead state and is held across each refill, so
+	// concurrent callers see every buffered entry exactly once.
+	mu sync.Mutex
+	// buf holds entries the server already stepped past but no caller has
+	// consumed, in delivery order.
+	buf []*Entry
+	// dir is the direction buf was fetched in (server.StepNext/StepPrev).
+	dir byte
+	// window is the size of the last refill; 0 after open or a seek.
+	window int
 }
 
 var _ logapi.Cursor = (*Cursor)(nil)
@@ -926,40 +951,93 @@ func decodeEntry(d *server.Decoder) (*Entry, error) {
 }
 
 // Next returns the next matching entry, or io.EOF at the end of the log.
-func (cu *Cursor) Next(ctx context.Context) (*Entry, error) { return cu.step(ctx, server.OpNext) }
+func (cu *Cursor) Next(ctx context.Context) (*Entry, error) { return cu.step(ctx, server.StepNext) }
 
 // Prev returns the previous matching entry, or io.EOF at the beginning.
-func (cu *Cursor) Prev(ctx context.Context) (*Entry, error) { return cu.step(ctx, server.OpPrev) }
+func (cu *Cursor) Prev(ctx context.Context) (*Entry, error) { return cu.step(ctx, server.StepPrev) }
 
-func (cu *Cursor) step(ctx context.Context, op byte) (*Entry, error) {
-	status, d, err := cu.c.call(ctx, op, "cursorstep", false, wire.PutUvarint(nil, uint64(cu.handle)))
+// step returns the next buffered entry in direction dir, refilling the
+// buffer with one OpCursorStep when it is empty or holds the other
+// direction. On a reversal the request's skip steps the server cursor back
+// over the entries the buffer still holds, so the caller sees exactly what
+// single steps would have returned. A failed refill leaves the buffer as it
+// was.
+func (cu *Cursor) step(ctx context.Context, dir byte) (*Entry, error) {
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
+	if len(cu.buf) > 0 && cu.dir == dir {
+		e := cu.buf[0]
+		cu.buf[0] = nil
+		cu.buf = cu.buf[1:]
+		return e, nil
+	}
+	skip, window := 0, stepWindowMin
+	if cu.window > 0 && cu.dir == dir {
+		window = min(2*cu.window, stepWindowMax)
+	} else {
+		skip = len(cu.buf)
+	}
+	p := wire.PutUvarint(nil, uint64(cu.handle))
+	p = append(p, dir)
+	p = wire.PutUvarint(p, uint64(skip))
+	p = wire.PutUvarint(p, uint64(window))
+	status, d, err := cu.c.call(ctx, server.OpCursorStep, "cursorstep", false, p)
 	if err != nil {
 		return nil, err
 	}
-	if status == server.StatusEOF {
+	var batch []*Entry
+	if status != server.StatusEOF {
+		n, err := d.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 || n > server.MaxStepEntries {
+			return nil, fmt.Errorf("client: step returned %d entries", n)
+		}
+		batch = make([]*Entry, n)
+		for i := range batch {
+			if batch[i], err = decodeEntry(d); err != nil {
+				return nil, err
+			}
+		}
+	}
+	cu.buf, cu.dir, cu.window = nil, dir, window
+	if len(batch) == 0 {
 		return nil, io.EOF
 	}
-	return decodeEntry(d)
+	cu.buf = batch[1:]
+	return batch[0], nil
+}
+
+// seek runs one positioning request. Success drops the read-ahead buffer:
+// the server cursor's new position makes the buffered entries moot. A
+// refused seek (SeekPos on the root cursor, say) left the server cursor
+// where it was, so the buffer stays.
+func (cu *Cursor) seek(ctx context.Context, op byte, opName string, payload []byte) error {
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
+	if _, _, err := cu.c.call(ctx, op, opName, false, payload); err != nil {
+		return err
+	}
+	cu.buf, cu.window = nil, 0
+	return nil
 }
 
 // SeekTime positions the cursor so Next returns the first entry at/after ts.
 func (cu *Cursor) SeekTime(ctx context.Context, ts int64) error {
 	p := wire.PutUvarint(nil, uint64(cu.handle))
 	p = wire.PutUint64(p, uint64(ts))
-	_, _, err := cu.c.call(ctx, server.OpSeekTime, "seektime", false, p)
-	return err
+	return cu.seek(ctx, server.OpSeekTime, "seektime", p)
 }
 
 // SeekStart positions the cursor before the first entry.
 func (cu *Cursor) SeekStart(ctx context.Context) error {
-	_, _, err := cu.c.call(ctx, server.OpSeekStart, "seekstart", false, wire.PutUvarint(nil, uint64(cu.handle)))
-	return err
+	return cu.seek(ctx, server.OpSeekStart, "seekstart", wire.PutUvarint(nil, uint64(cu.handle)))
 }
 
 // SeekEnd positions the cursor after the last entry.
 func (cu *Cursor) SeekEnd(ctx context.Context) error {
-	_, _, err := cu.c.call(ctx, server.OpSeekEnd, "seekend", false, wire.PutUvarint(nil, uint64(cu.handle)))
-	return err
+	return cu.seek(ctx, server.OpSeekEnd, "seekend", wire.PutUvarint(nil, uint64(cu.handle)))
 }
 
 // SeekPos restores the cursor to a previously observed (block, rec) gap
@@ -968,12 +1046,14 @@ func (cu *Cursor) SeekPos(ctx context.Context, block, rec int) error {
 	p := wire.PutUvarint(nil, uint64(cu.handle))
 	p = wire.PutUvarint(p, uint64(block))
 	p = wire.PutUvarint(p, uint64(rec))
-	_, _, err := cu.c.call(ctx, server.OpSeekPos, "seekpos", false, p)
-	return err
+	return cu.seek(ctx, server.OpSeekPos, "seekpos", p)
 }
 
-// Close releases the server-side cursor.
+// Close releases the server-side cursor and drops the read-ahead buffer.
 func (cu *Cursor) Close() error {
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
+	cu.buf, cu.window = nil, 0
 	_, _, err := cu.c.call(context.Background(), server.OpCursorEnd, "cursorend", false, wire.PutUvarint(nil, uint64(cu.handle)))
 	return err
 }

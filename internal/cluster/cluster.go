@@ -445,6 +445,9 @@ func (n *Node) stepDown(newTerm uint64, newLeader string) {
 	n.term = newTerm
 	n.leaderAddr = newLeader
 	n.fol = newFollowerState(n)
+	// Counted with the role change, so a status that shows the node as a
+	// follower also counts its step-down.
+	n.demotions.Add(1)
 	if err := n.persistTerm(newTerm); err != nil {
 		// Demoting is the safe direction even unpersisted; log and continue.
 		n.logf("cluster: persist term %d on step-down: %v", newTerm, err)
@@ -459,7 +462,6 @@ func (n *Node) stepDown(newTerm uint64, newLeader string) {
 	// demoted node writing blocks the new leader did not order is exactly
 	// the divergence replication exists to prevent.
 	store.Crash()
-	n.demotions.Add(1)
 	n.logf("cluster: %s stepped down, new term %d (leader %s)", n.cfg.NodeID, newTerm, newLeader)
 }
 

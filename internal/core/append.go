@@ -890,6 +890,7 @@ func (s *Service) sealTailLocked(forced bool) error {
 			s.tailGlobal = -1
 			s.tailIDs = nil
 			s.tailDirty = false
+			s.lastSeal = sealedImage{global: sealed, img: img}
 			s.publishTail(nil)
 			s.blockCache().Put(cache.Key{Block: sealed}, img)
 			if s.opt.NVRAM != nil {

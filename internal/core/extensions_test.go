@@ -257,4 +257,12 @@ func TestSeekPosResume(t *testing.T) {
 	if err := cur3.SeekPos(-1, 0); err == nil {
 		t.Error("negative position accepted")
 	}
+	// A record index past the block's last record is the gap after it:
+	// Prev returns that block's last entry instead of indexing past it.
+	if err := cur3.SeekPos(last.Block, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := cur3.Prev(); err != nil || e.Block != last.Block || e.Index < last.Index {
+		t.Fatalf("Prev after a past-the-block position: %v %+v", err, e)
+	}
 }

@@ -303,6 +303,12 @@ func (c *Cursor) next() (*Entry, error) {
 				continue
 			}
 			data, aerr := s.assemble(c.block, i, parsed)
+			if aerr == errChainOpen {
+				// The append is still writing this entry's continuation:
+				// stop before it, as at the end of the log.
+				c.rec = i
+				return nil, io.EOF
+			}
 			if aerr != nil {
 				continue // torn chain: skip the lost entry
 			}
@@ -477,6 +483,11 @@ func (c *Cursor) prev() (*Entry, error) {
 			continue
 		}
 		parsed, effs := db.p, db.effs
+		if c.rec > len(parsed.Records) {
+			// SeekPos takes any record index; past the block's last record
+			// is the gap after it.
+			c.rec = len(parsed.Records)
+		}
 		for c.rec > 0 {
 			i := c.rec - 1
 			c.rec--

@@ -226,6 +226,7 @@ type Service struct {
 	midChain   bool            // a fragmented entry is incomplete
 	tailDirty  bool            // the staged tail holds records not yet forced
 	pendingDue []*entrymap.Entry
+	lastSeal   sealedImage // the latest direct seal (tailSnap.lastSeal)
 
 	// tailState is the reader-visible snapshot of {sealedEnd, tail block,
 	// tail image}; the writer republishes it at every tail transition.
@@ -338,6 +339,22 @@ type tailSnap struct {
 	// above sealedEnd: readers resolve those blocks from the staged images
 	// exactly like the tail, since the device copies may not exist yet.
 	pipe []pipeSnap
+	// lastSeal is the block the latest direct (unpipelined) seal wrote and
+	// its final image. The cache receives that image only after the
+	// snapshot calling the block sealed is published, so until then a
+	// reader can find the block's older staged-tail image there and pass
+	// over the entries the seal added; decodeBlock checks cache hits on
+	// this block against it.
+	lastSeal sealedImage
+	// chainOpen is set while an append is mid-entry: a fragmented entry's
+	// continuation may not be readable yet (assemble, errChainOpen).
+	chainOpen bool
+}
+
+// sealedImage is one block's final image.
+type sealedImage struct {
+	global int
+	img    []byte
 }
 
 // pipeSnap is the reader view of one in-flight pipelined seal.
@@ -364,7 +381,7 @@ func (sn *tailSnap) end() int {
 // (callers that just produced one pass it to avoid re-sealing), or nil to
 // have publishTail derive it from the builder.
 func (s *Service) publishTail(img []byte) {
-	sn := &tailSnap{sealedEnd: s.sealedEnd, tailGlobal: s.tailGlobal}
+	sn := &tailSnap{sealedEnd: s.sealedEnd, tailGlobal: s.tailGlobal, lastSeal: s.lastSeal, chainOpen: s.midChain}
 	if len(s.pipe) > 0 {
 		sn.pipe = make([]pipeSnap, len(s.pipe))
 		for i, ps := range s.pipe {

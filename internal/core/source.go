@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -73,10 +74,10 @@ func (ls *locatorSource) EntryAt(level, boundary int) (*entrymap.Entry, error) {
 // Pending implements entrymap.Source: the accumulator's in-progress bitmap,
 // widened with the staged tail block's contents (the tail is readable but
 // not yet noted in the accumulator — that happens at seal).
-func (ls *locatorSource) Pending(level int, id uint16) wire.Bitmap {
+func (ls *locatorSource) Pending(level int, id uint16) (wire.Bitmap, int) {
 	s := ls.svc()
 	s.idxMu.Lock()
-	live, _ := s.acc.Pending(level, id)
+	live, start := s.acc.Pending(level, id)
 	// The accumulator mutates its bitmaps in place (NoteBlock, under idxMu)
 	// and the locator reads the result after this call returns: hand out a
 	// copy, never the live map.
@@ -109,7 +110,7 @@ func (ls *locatorSource) Pending(level int, id uint16) wire.Bitmap {
 			bm.Set(sn.tailGlobal % n)
 		}
 	}
-	return bm
+	return bm, start
 }
 
 // BlockContains implements entrymap.Source. Fragments count: the entrymap
@@ -283,6 +284,10 @@ func (s *Service) decodeBlock(global int) (*decodedBlock, error) {
 	img, dec := bc.LookupDecoded(key)
 	if img != nil {
 		s.opt.Clock.ChargeCachedBlock()
+		if ls := s.snap().lastSeal; ls.img != nil && ls.global == global && !bytes.Equal(img, ls.img) {
+			// An older staged-tail image the seal has not replaced yet.
+			img, dec = ls.img, nil
+		}
 		if db, ok := dec.(*decodedBlock); ok {
 			return db, nil
 		}
@@ -318,10 +323,18 @@ func (s *Service) parseBlock(global int) (*blockfmt.Parsed, error) {
 	return db.p, nil
 }
 
+// errChainOpen reports a fragmented entry whose continuation the writer
+// has not published yet: the chain reaches the readable end while an
+// append is still in progress. It wraps ErrLost for callers that only know
+// that error; a cursor instead stops before the entry and retries.
+var errChainOpen = fmt.Errorf("%w: continuation not written yet", ErrLost)
+
 // assemble reassembles the full data of the entry whose first fragment is
 // record idx of block `global` (already parsed as `parsed`). Fragmented
 // entries continue as the first same-id continued record of each following
-// block. A chain that runs off the readable end is torn (lost): ErrLost.
+// block. A chain that runs off the readable end is torn (lost): ErrLost —
+// or errChainOpen when it breaks past the sealed frontier while the
+// snapshot shows an append mid-chain.
 func (s *Service) assemble(global, idx int, parsed *blockfmt.Parsed) ([]byte, error) {
 	rec := parsed.Records[idx]
 	if !rec.Continues {
@@ -329,10 +342,29 @@ func (s *Service) assemble(global, idx int, parsed *blockfmt.Parsed) ([]byte, er
 	}
 	out := append([]byte(nil), rec.Data...)
 	id := rec.LogID
-	end := s.endShared()
+	sn := s.snap()
+	end := sn.end()
+	// lost classifies a missing continuation at block b. Only past the
+	// sealed frontier can it be one the writer is still producing; a chain
+	// broken inside sealed history is torn whatever the writer is doing.
+	lost := func(b int) error {
+		if sn.chainOpen && b >= sn.sealedEnd {
+			return errChainOpen
+		}
+		return ErrLost
+	}
+	// next returns the chain's record in p, if p holds one.
+	next := func(p *blockfmt.Parsed) *blockfmt.RecordView {
+		for i := range p.Records {
+			if r := &p.Records[i]; r.LogID == id && r.Continued {
+				return r
+			}
+		}
+		return nil
+	}
 	for b := global + 1; ; b++ {
 		if b >= end {
-			return nil, ErrLost // torn chain: writer died mid-entry
+			return nil, lost(b) // torn chain: writer died mid-entry
 		}
 		p, err := s.parseBlock(b)
 		if err != nil {
@@ -342,23 +374,22 @@ func (s *Service) assemble(global, idx int, parsed *blockfmt.Parsed) ([]byte, er
 				// past the invalidated block, it is not torn.
 				continue
 			}
-			return nil, ErrLost // damaged or unwritten continuation block
+			return nil, lost(b) // damaged or unwritten continuation block
 		}
-		found := false
-		done := false
-		for _, r := range p.Records {
-			if r.LogID != id || !r.Continued {
-				continue
+		r := next(p)
+		if r == nil && b == sn.tailGlobal {
+			// The cache can still hold an older image of the staged tail
+			// than this snapshot's; the snapshot's own copy is the one that
+			// must hold the continuation.
+			if tp, perr := blockfmt.Parse(sn.tailImage); perr == nil {
+				r = next(tp)
 			}
-			out = append(out, r.Data...)
-			found = true
-			done = !r.Continues
-			break
 		}
-		if !found {
-			return nil, ErrLost // chain broken
+		if r == nil {
+			return nil, lost(b) // chain broken
 		}
-		if done {
+		out = append(out, r.Data...)
+		if !r.Continues {
 			return out, nil
 		}
 	}

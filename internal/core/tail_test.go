@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"clio/internal/blockfmt"
 )
 
 // TestTailNotifyWake: a reader blocked at the tail is woken by the next
@@ -226,4 +228,93 @@ func TestIdleWakeFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("idle tail publish allocates %v times per run, want 0", n)
 	}
+}
+
+// writeFragment appends one raw record of a (possibly fragmented) entry to
+// the staged tail, the way appendEntryLocked does; s.mu held.
+func writeFragment(t *testing.T, s *Service, id uint16, data string, continued, continues bool) {
+	t.Helper()
+	if err := s.ensureTailLocked(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.builder.FirstTimestamp(); !ok {
+		s.builder.SetFirstTimestamp(s.nextTS(false))
+	}
+	form := uint8(blockfmt.FormMinimal)
+	if err := s.builder.Append(blockfmt.Record{LogID: id, Form: form,
+		Continued: continued, Continues: continues, Data: []byte(data)}); err != nil {
+		t.Fatal(err)
+	}
+	s.tailDirty = true
+	s.tailIDs[id] = true
+}
+
+// TestOpenChainAtTailIsNotSkipped: a fragmented entry whose first
+// fragment is sealed while the writer has not yet written its
+// continuation is the end of the log for a cursor, not a torn entry to
+// skip; once the chain completes the cursor returns it whole. A chain
+// broken inside sealed history stays torn and is skipped even while
+// another append is mid-chain.
+func TestOpenChainAtTailIsNotSkipped(t *testing.T) {
+	s, _ := newTestService(t, Options{})
+	defer s.Close()
+	id := mustCreate(t, s, "/chain")
+	mustAppend(t, s, id, "first", AppendOptions{})
+	c, err := s.OpenCursor("/chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := c.Next(); err != nil || string(e.Data) != "first" {
+		t.Fatalf("Next = %v, %v", e, err)
+	}
+
+	// The writer, mid-chain: head fragment sealed, continuation pending.
+	s.mu.Lock()
+	s.midChain = true
+	writeFragment(t, s, id, "head-", false, true)
+	if err := s.sealTailLocked(false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ensureTailLocked(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	if _, err := c.Next(); err != io.EOF {
+		t.Fatalf("Next with the chain open = %v, want EOF", err)
+	}
+
+	s.mu.Lock()
+	writeFragment(t, s, id, "tail", true, false)
+	s.endChainLocked()
+	if err := s.stageTailLocked(false); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	if e, err := c.Next(); err != nil || string(e.Data) != "head-tail" {
+		t.Fatalf("Next after the chain completed = %v, %v", e, err)
+	}
+
+	// A torn chain in sealed history: its continuation block holds another
+	// entry instead. With an unrelated append mid-chain, the cursor still
+	// skips the torn entry and reads on.
+	s.mu.Lock()
+	writeFragment(t, s, id, "torn-", false, true)
+	if err := s.sealTailLocked(false); err != nil {
+		t.Fatal(err)
+	}
+	writeFragment(t, s, id, "after", false, false)
+	if err := s.sealTailLocked(false); err != nil {
+		t.Fatal(err)
+	}
+	s.midChain = true
+	if err := s.ensureTailLocked(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	if e, err := c.Next(); err != nil || string(e.Data) != "after" {
+		t.Fatalf("Next past a torn chain = %v, %v", e, err)
+	}
+	s.mu.Lock()
+	s.endChainLocked()
+	s.mu.Unlock()
 }

@@ -194,9 +194,8 @@ func (f *fakeStore) EntryAt(level, boundary int) (*Entry, error) {
 	return f.entries[k], nil
 }
 
-func (f *fakeStore) Pending(level int, id uint16) wire.Bitmap {
-	bm, _ := f.acc.Pending(level, id)
-	return bm
+func (f *fakeStore) Pending(level int, id uint16) (wire.Bitmap, int) {
+	return f.acc.Pending(level, id)
 }
 
 func (f *fakeStore) BlockContains(block int, id uint16) (bool, error) {
@@ -318,6 +317,33 @@ func TestFindNextMatchesNaive(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFindNextAcrossUnwrittenRollUp: the writer rolls the accumulator over
+// at a boundary before the entry it emitted there is readable, while
+// readers still see the old end. The in-progress span's blocks must still
+// be found (by probing), not reported absent.
+func TestFindNextAcrossUnwrittenRollUp(t *testing.T) {
+	const n = 4
+	id := uint16(FirstClientID)
+	f := newFakeStore(t, n)
+	for b := 0; b < 2*n; b++ {
+		var ids []uint16
+		if b == n+1 {
+			ids = []uint16{id}
+		}
+		f.seal(ids, int64(b))
+	}
+	// Blocks [0, 8) are sealed; the writer starts block 8, emitting the
+	// boundary's entries, which are not written anywhere yet.
+	f.acc.EntriesDue(2 * n)
+	loc, err := NewLocator(f, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := loc.FindNext(id, n); err != nil || got != n+1 {
+		t.Fatalf("FindNext = %d, %v; want %d", got, err, n+1)
 	}
 }
 

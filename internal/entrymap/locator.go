@@ -19,8 +19,9 @@ type Source interface {
 	// falls back to searching lower levels.
 	EntryAt(level, boundary int) (*Entry, error)
 	// Pending returns the writer's in-memory bitmap for the given level's
-	// in-progress span, or nil when the log file has no entries there.
-	Pending(level int, id uint16) wire.Bitmap
+	// in-progress span (nil when the log file has no entries there) and
+	// the first block of that span.
+	Pending(level int, id uint16) (wire.Bitmap, int)
 	// BlockContains reports whether the given data block holds at least one
 	// entry (or fragment) of the log file. Used only when entrymap
 	// information is missing; unreadable blocks report false.
@@ -87,7 +88,12 @@ func (l *Locator) bitmapAtP(level, spanStart int, id uint16, end int) (bm wire.B
 	// The span is still in progress (or its boundary block is the staged
 	// tail): the writer's accumulator is authoritative.
 	l.Stats.PendingExamined++
-	bm = l.src.Pending(level, id)
+	bm, start := l.src.Pending(level, id)
+	if start != spanStart {
+		// The writer has rolled this span up already, but its entry is not
+		// readable yet: no information, search conservatively.
+		return nil, false, false, nil
+	}
 	if level >= 2 {
 		// The accumulator's level-L bitmap only covers child spans whose
 		// entries have been emitted. The child span containing the write
@@ -111,7 +117,7 @@ func (l *Locator) bitmapAtP(level, spanStart int, id uint16, end int) (bm wire.B
 // spans of levels 1..lvl.
 func (l *Locator) pendingBelow(lvl int, id uint16) bool {
 	for i := lvl; i >= 1; i-- {
-		if bm := l.src.Pending(i, id); bm != nil && !bm.Empty() {
+		if bm, _ := l.src.Pending(i, id); bm != nil && !bm.Empty() {
 			return true
 		}
 	}

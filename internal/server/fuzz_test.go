@@ -28,8 +28,11 @@ func FuzzReadFrame(f *testing.F) {
 		(&wire.ReplWrite{Shard: 0, Dev: 0, Index: 1, Data: []byte("img")}).Encode(nil)))
 	f.Add(frameBytes(wire.OpReplHello, 1, 0,
 		(&wire.ReplHello{Term: 1, Epoch: 2, LeaderAddr: "a:1", Shards: 1, BlockSize: 512}).Encode(nil)))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})             // oversized length prefix
-	f.Add([]byte{0x05, 0x00, 0x00, 0x00, 0x01})       // length below header size
+	f.Add(frameBytes(OpCursorStep, 4, 0, []byte{1, StepNext, 0, 8}))
+	f.Add(frameBytes(OpCursorStep, 5, 0, []byte{1, StepPrev, 3, 64}))
+	f.Add(frameBytes(OpCursorStep, 6, 0, []byte{1, 9, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0}))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})            // oversized length prefix
+	f.Add([]byte{0x05, 0x00, 0x00, 0x00, 0x01})      // length below header size
 	f.Add(append(frameBytes(OpStats, 3, 0, nil), 9)) // trailing garbage
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		r := bytes.NewReader(stream)
@@ -44,6 +47,17 @@ func FuzzReadFrame(f *testing.F) {
 				// Whatever a peer stuffed in a replication frame must decode
 				// or error, never panic.
 				_, _ = wire.DecodeRepl(op, payload)
+			}
+			if op == OpCursorStep {
+				// A step request that decodes is within the bounds the
+				// server's execution lock relies on.
+				d := NewDecoder(payload)
+				if _, err := d.Uvarint(); err == nil {
+					if _, skip, limit, err := decodeStep(d); err == nil &&
+						(skip > MaxStepEntries || limit < 1 || limit > MaxStepEntries) {
+						t.Fatalf("decodeStep accepted skip %d max %d", skip, limit)
+					}
+				}
 			}
 			// A parsed frame must re-encode unless the payload alone exceeds
 			// the frame budget (ReadFrame accepted it, so it cannot).

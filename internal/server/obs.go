@@ -31,6 +31,7 @@ var opNames = map[byte]string{
 	OpSeekPos:     "seek_pos",
 	OpHello:       "hello",
 	OpForce:       "force",
+	OpCursorStep:  "cursor_step",
 
 	wire.OpReplHello:      "repl_hello",
 	wire.OpReplWrite:      "repl_write",

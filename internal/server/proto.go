@@ -70,6 +70,32 @@ const (
 	// (empty payload, empty response). It mutates device state, so it runs
 	// sequenced like appends, not in the read-class pool.
 	OpForce = 21
+	// OpCursorStep moves a cursor up to max entries in one direction in one
+	// round trip (payload: uvarint handle, u8 direction StepNext/StepPrev,
+	// uvarint skip, uvarint max). The server first takes skip steps in that
+	// direction and discards their entries — a client reversing direction
+	// passes the count of read-ahead entries it never consumed — then takes
+	// up to max steps, stopping early at the end of the log or once the batch
+	// holds MaxStepBytes of entry data. The response payload is a uvarint
+	// entry count followed by that many entries in the entry-response
+	// layout; StatusEOF with an empty payload means no step found an entry.
+	// OpNext and OpPrev are the skip=0, max=1 case with a bare entry as the
+	// response.
+	OpCursorStep = 22
+)
+
+// OpCursorStep directions and bounds.
+const (
+	StepNext = 0
+	StepPrev = 1
+	// MaxStepEntries bounds both skip and max of one step request: the
+	// steps run under the session's execution lock, so one request must
+	// not pin the session and a shard cursor for long.
+	MaxStepEntries = 64
+	// MaxStepBytes ends a step batch once its entries carry this much data,
+	// which bounds what the duplicate-suppression window retains per
+	// response.
+	MaxStepBytes = 8 << 10
 )
 
 // Response status codes.

@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,6 +109,12 @@ func TestDedupEvictionUnderConcurrentReplay(t *testing.T) {
 		return c
 	}
 
+	// done counts originals answered. The replayer stays at most maxLead
+	// requests ahead of it: a replay that runs ahead becomes the original,
+	// and one more than dedupWindow ahead would push the real original's
+	// cached answer out of the window before the original arrives.
+	const maxLead = dedupWindow / 2
+	var done atomic.Int64
 	var wg sync.WaitGroup
 	errs := make(chan string, 3*n)
 	run := func(fn func(conn net.Conn)) {
@@ -125,12 +132,16 @@ func TestDedupEvictionUnderConcurrentReplay(t *testing.T) {
 			if status, _ := roundTripSeq(t, c, OpAppend, uint64(1000+i), appendFrame(i)); status != StatusOK {
 				errs <- fmt.Sprintf("original %d: status %d", i, status)
 			}
+			done.Add(1)
 		}
 	})
 	// Concurrent replays of the SAME frames: must never append twice. A
 	// replay racing ahead of its original simply becomes the original.
 	run(func(c net.Conn) {
 		for i := 0; i < n; i++ {
+			for int64(i) > done.Load()+maxLead {
+				time.Sleep(100 * time.Microsecond)
+			}
 			status, resp := roundTripSeq(t, c, OpAppend, uint64(1000+i), appendFrame(i))
 			if status == StatusErr {
 				msg, _ := NewDecoder(resp).String()

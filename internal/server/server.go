@@ -27,7 +27,8 @@ const DefaultIdleTimeout = 2 * time.Minute
 
 // dedupWindow bounds the per-session duplicate-suppression cache. The
 // client has one request in flight per connection, so the window only needs
-// to cover replay after reconnect plus slack.
+// to cover replay after reconnect plus slack. A cached OpCursorStep batch
+// holds up to about MaxStepBytes, so a session retains at most about 1 MiB.
 const dedupWindow = 128
 
 // DefaultReadWorkers bounds how many read-class requests the server executes
@@ -1082,21 +1083,44 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, 
 		if err != nil {
 			return errResp3(err)
 		}
-		var e *core.Entry
 		readDone := tr.Span("core.read")
-		if op == OpNext {
-			e, err = cur.Next(ctx)
-		} else {
-			e, err = cur.Prev(ctx)
-		}
+		batch, err := stepCursor(ctx, cur, op == OpPrev, 0, 1)
 		readDone()
-		if err == io.EOF {
-			return StatusEOF, nil, nil
-		}
 		if err != nil {
 			return errResp3(err)
 		}
-		return StatusOK, encodeEntryHead(e), e.Data
+		if len(batch) == 0 {
+			return StatusEOF, nil, nil
+		}
+		return StatusOK, appendEntryHead(nil, batch[0]), batch[0].Data
+
+	case OpCursorStep:
+		cur, err := h.cursor(d)
+		if err != nil {
+			return errResp3(err)
+		}
+		prev, skip, limit, err := decodeStep(d)
+		if err != nil {
+			return errResp3(err)
+		}
+		readDone := tr.Span("core.read")
+		batch, err := stepCursor(ctx, cur, prev, skip, limit)
+		readDone()
+		if err != nil {
+			return errResp3(err)
+		}
+		if len(batch) == 0 {
+			return StatusEOF, nil, nil
+		}
+		n := 1
+		for _, e := range batch {
+			n += 32 + len(e.Data) // an entry head without extra ids fits in 32 bytes
+		}
+		out := wire.PutUvarint(make([]byte, 0, n), uint64(len(batch)))
+		for _, e := range batch {
+			out = append(appendEntryHead(out, e), e.Data...)
+		}
+		return StatusOK, out, nil
 
 	case OpSeekTime:
 		cur, err := h.cursor(d)
@@ -1177,7 +1201,7 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, 
 		if err := h.tenantEntry(e.Shard, e.LogID); err != nil {
 			return errResp3(err)
 		}
-		return StatusOK, encodeEntryHead(e), e.Data
+		return StatusOK, appendEntryHead(nil, e), e.Data
 
 	case OpStats:
 		st := store.Stats()
@@ -1219,6 +1243,61 @@ func appendResp3(ts int64, err error) (byte, []byte, []byte) {
 	return status, resp, nil
 }
 
+// decodeStep reads the part of an OpCursorStep payload after the cursor
+// handle and enforces its bounds.
+func decodeStep(d *Decoder) (prev bool, skip, limit int, err error) {
+	dir, err := d.Byte()
+	if err != nil {
+		return false, 0, 0, err
+	}
+	s, err := d.Uvarint()
+	if err != nil {
+		return false, 0, 0, err
+	}
+	l, err := d.Uvarint()
+	if err != nil {
+		return false, 0, 0, err
+	}
+	switch {
+	case dir != StepNext && dir != StepPrev:
+		return false, 0, 0, fmt.Errorf("server: bad step direction %d", dir)
+	case s > MaxStepEntries:
+		return false, 0, 0, fmt.Errorf("server: step skip %d above %d", s, MaxStepEntries)
+	case l == 0 || l > MaxStepEntries:
+		return false, 0, 0, fmt.Errorf("server: step max %d outside 1..%d", l, MaxStepEntries)
+	}
+	return dir == StepPrev, int(s), int(l), nil
+}
+
+// stepCursor is the one cursor-motion loop behind OpNext, OpPrev and
+// OpCursorStep: skip steps whose entries are discarded, then up to limit
+// steps, all in one direction, ending early at the end of the log or
+// once the batch holds MaxStepBytes of data. An error after at least one
+// entry was collected ends the batch instead, so the caller receives what
+// the cursor already moved past; a lasting error surfaces on the next step.
+func stepCursor(ctx context.Context, cur logapi.Cursor, prev bool, skip, limit int) ([]*core.Entry, error) {
+	step := cur.Next
+	if prev {
+		step = cur.Prev
+	}
+	var batch []*core.Entry
+	size := 0
+	for i := 0; i < skip+limit && size < MaxStepBytes; i++ {
+		e, err := step(ctx)
+		if err == io.EOF || err != nil && len(batch) > 0 {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if i >= skip {
+			batch = append(batch, e)
+			size += len(e.Data)
+		}
+	}
+	return batch, nil
+}
+
 func (h *connHandler) cursor(d *Decoder) (logapi.Cursor, error) {
 	handle, err := d.Uvarint()
 	if err != nil {
@@ -1240,14 +1319,14 @@ func EncodeEntry(e *core.Entry) []byte { return encodeEntry(e) }
 // byte, then the shard ordinal and the shard-local (block, index) position
 // as uvarints, the extra member ids, and the data.
 func encodeEntry(e *core.Entry) []byte {
-	return append(encodeEntryHead(e), e.Data...)
+	return append(appendEntryHead(nil, e), e.Data...)
 }
 
-// encodeEntryHead lays out everything up to and including the data length
-// prefix, so the data itself can be shipped as a separate borrowed chunk
-// (WriteFrameChunks): head + e.Data is byte-identical to encodeEntry.
-func encodeEntryHead(e *core.Entry) []byte {
-	out := wire.PutUint16(nil, e.LogID)
+// appendEntryHead appends everything up to and including the data length
+// prefix to dst, so the data itself can be shipped as a separate borrowed
+// chunk (WriteFrameChunks): head + e.Data is byte-identical to encodeEntry.
+func appendEntryHead(dst []byte, e *core.Entry) []byte {
+	out := wire.PutUint16(dst, e.LogID)
 	out = wire.PutUint64(out, uint64(e.Timestamp))
 	var flags byte
 	if e.Timestamped {

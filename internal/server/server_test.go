@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -53,8 +54,27 @@ func roundTripSeq(t *testing.T, conn net.Conn, op byte, seq uint64, payload []by
 	return status, resp
 }
 
+// stepPayload builds an OpCursorStep request.
+func stepPayload(handle uint64, dir byte, skip, max uint64) []byte {
+	p := wire.PutUvarint(nil, handle)
+	p = append(p, dir)
+	p = wire.PutUvarint(p, skip)
+	return wire.PutUvarint(p, max)
+}
+
 func TestMalformedPayloadsReturnErrors(t *testing.T) {
 	_, conn := testServer(t)
+	// Cursor 1 exists, so the bound rows fail on their bounds, not on the
+	// handle.
+	p := PutString(nil, "/m")
+	p = wire.PutUint16(p, 0)
+	p = PutString(p, "")
+	if status, _ := roundTrip(t, conn, OpCreate, p); status != StatusOK {
+		t.Fatal("create failed")
+	}
+	if status, _ := roundTrip(t, conn, OpCursorOpen, PutString(nil, "/m")); status != StatusOK {
+		t.Fatal("cursor open failed")
+	}
 	cases := []struct {
 		name    string
 		op      byte
@@ -67,6 +87,14 @@ func TestMalformedPayloadsReturnErrors(t *testing.T) {
 		{"append truncated data", OpAppend, append(wire.PutUvarint(nil, 4), 0, 255)},
 		{"next bad handle varint", OpNext, []byte{0xFF}},
 		{"next unknown handle", OpNext, wire.PutUvarint(nil, 999)},
+		{"step unknown handle", OpCursorStep, stepPayload(999, StepNext, 0, 8)},
+		{"step truncated", OpCursorStep, wire.PutUvarint(nil, 999)},
+		{"step huge skip", OpCursorStep, stepPayload(1, StepPrev, 1<<40, 8)},
+		{"step skip above cap", OpCursorStep, stepPayload(1, StepPrev, MaxStepEntries+1, 8)},
+		{"step huge max", OpCursorStep, stepPayload(1, StepNext, 0, 1<<40)},
+		{"step max above cap", OpCursorStep, stepPayload(1, StepNext, 0, MaxStepEntries+1)},
+		{"step max zero", OpCursorStep, stepPayload(1, StepNext, 0, 0)},
+		{"step bad direction", OpCursorStep, stepPayload(1, 7, 0, 8)},
 		{"seek missing ts", OpSeekTime, wire.PutUvarint(nil, 1)},
 		{"stat empty", OpStat, nil},
 		{"readat empty", OpReadAt, nil},
@@ -278,12 +306,131 @@ func TestDuplicateSuppressionCoversCursorAdvance(t *testing.T) {
 	}
 }
 
-func decodeEntryData(t *testing.T, resp []byte) string {
+func TestDuplicateSuppressionCoversCursorStep(t *testing.T) {
+	_, conn := testServer(t)
+	p := PutString(nil, "/step")
+	p = wire.PutUint16(p, 0)
+	p = PutString(p, "")
+	status, resp := roundTripSeq(t, conn, OpCreate, 1, p)
+	if status != StatusOK {
+		t.Fatal("create failed")
+	}
+	id, _ := NewDecoder(resp).Uvarint()
+	for i, payload := range []string{"a", "b", "c", "d", "e"} {
+		ap := wire.PutUvarint(nil, id)
+		ap = append(ap, AppendForced)
+		ap = PutBytes(ap, []byte(payload))
+		if status, _ := roundTripSeq(t, conn, OpAppend, uint64(10+i), ap); status != StatusOK {
+			t.Fatal("append failed")
+		}
+	}
+	status, resp = roundTripSeq(t, conn, OpCursorOpen, 20, PutString(nil, "/step"))
+	if status != StatusOK {
+		t.Fatal("cursor open failed")
+	}
+	handle, _ := NewDecoder(resp).Uint32()
+
+	// A replayed step must return the cached batch and NOT advance the
+	// cursor a second time.
+	sp := stepPayload(uint64(handle), StepNext, 0, 2)
+	status, resp = roundTripSeq(t, conn, OpCursorStep, 21, sp)
+	if status != StatusOK {
+		t.Fatalf("step: %d", status)
+	}
+	if got := decodeBatchData(t, resp); got != "[a b]" {
+		t.Fatalf("step returned %s, want [a b]", got)
+	}
+	status, replay := roundTripSeq(t, conn, OpCursorStep, 21, sp)
+	if status != StatusOK || string(replay) != string(resp) {
+		t.Fatal("replayed step returned a different batch")
+	}
+	status, resp = roundTripSeq(t, conn, OpCursorStep, 22, sp)
+	if status != StatusOK {
+		t.Fatalf("second step: %d", status)
+	}
+	if got := decodeBatchData(t, resp); got != "[c d]" {
+		t.Fatalf("cursor advanced wrongly under replay: got %s, want [c d]", got)
+	}
+	// Reversal with one unconsumed entry ("d"): skip steps back over it, so
+	// the batch starts at the last entry the caller consumed.
+	status, resp = roundTripSeq(t, conn, OpCursorStep, 23, stepPayload(uint64(handle), StepPrev, 1, 8))
+	if status != StatusOK {
+		t.Fatalf("reverse step: %d", status)
+	}
+	if got := decodeBatchData(t, resp); got != "[c b a]" {
+		t.Fatalf("reverse step returned %s, want [c b a]", got)
+	}
+	// Nothing before the start: EOF with an empty payload.
+	status, resp = roundTripSeq(t, conn, OpCursorStep, 24, stepPayload(uint64(handle), StepPrev, 0, 8))
+	if status != StatusEOF || len(resp) != 0 {
+		t.Fatalf("step at start: status %d, %d payload bytes", status, len(resp))
+	}
+}
+
+func TestCursorStepByteCap(t *testing.T) {
+	_, conn := testServer(t)
+	p := PutString(nil, "/big")
+	p = wire.PutUint16(p, 0)
+	p = PutString(p, "")
+	status, resp := roundTrip(t, conn, OpCreate, p)
+	if status != StatusOK {
+		t.Fatal("create failed")
+	}
+	id, _ := NewDecoder(resp).Uvarint()
+	for i := 0; i < 10; i++ {
+		ap := wire.PutUvarint(nil, id)
+		ap = append(ap, 0)
+		ap = PutBytes(ap, []byte(strings.Repeat(string(rune('a'+i)), 1024)))
+		if status, _ := roundTrip(t, conn, OpAppend, ap); status != StatusOK {
+			t.Fatal("append failed")
+		}
+	}
+	status, resp = roundTrip(t, conn, OpCursorOpen, PutString(nil, "/big"))
+	if status != StatusOK {
+		t.Fatal("cursor open failed")
+	}
+	handle, _ := NewDecoder(resp).Uint32()
+	// The batch ends once it holds MaxStepBytes of data: 8 of the 1 KiB
+	// entries, then the remaining 2.
+	for _, want := range []uint64{MaxStepBytes / 1024, 2} {
+		status, resp = roundTrip(t, conn, OpCursorStep, stepPayload(uint64(handle), StepNext, 0, MaxStepEntries))
+		if status != StatusOK {
+			t.Fatalf("step: status %d", status)
+		}
+		if n, _ := NewDecoder(resp).Uvarint(); n != want {
+			t.Fatalf("step returned %d entries, want %d", n, want)
+		}
+	}
+}
+
+// decodeBatchData renders the entry data of an OpCursorStep response.
+func decodeBatchData(t *testing.T, resp []byte) string {
 	t.Helper()
 	d := NewDecoder(resp)
-	d.Uint16() // log id
-	d.Int64()  // ts
-	d.Byte()   // flags
+	n, err := d.Uvarint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = decodeEntryDataFrom(t, d)
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("%d trailing bytes after %d entries", d.Remaining(), n)
+	}
+	return fmt.Sprint(out)
+}
+
+func decodeEntryData(t *testing.T, resp []byte) string {
+	t.Helper()
+	return decodeEntryDataFrom(t, NewDecoder(resp))
+}
+
+func decodeEntryDataFrom(t *testing.T, d *Decoder) string {
+	t.Helper()
+	d.Uint16()  // log id
+	d.Int64()   // ts
+	d.Byte()    // flags
 	d.Uvarint() // shard
 	d.Uvarint() // block
 	d.Uvarint() // index

@@ -96,7 +96,8 @@ type Sub struct {
 
 // Stats is a point-in-time snapshot of subscription activity.
 type Stats struct {
-	// Delivered counts entries handed to the subscriber buffer.
+	// Delivered counts entries handed to the subscriber buffer (including
+	// one a catch-up is still waiting to hand over).
 	Delivered int64
 	// CatchUps counts transitions into catch-up mode: the subscriber's
 	// buffer overflowed and the pump fell back to cursor-paced delivery.
@@ -242,11 +243,14 @@ var nowNanos = func() int64 { return time.Now().UnixNano() }
 // cursor pace for the consumer to drain; the cursor itself is the resume
 // position, so nothing is lost or repeated.
 func (s *Sub) deliver(e *core.Entry) bool {
+	// Counted before the send, so a consumer that calls Stats right after
+	// receiving e sees it counted; a send the stop preempts is taken back.
+	s.delivered.Add(1)
 	select {
 	case s.out <- e:
-		s.delivered.Add(1)
 		return true
 	case <-s.stop:
+		s.delivered.Add(-1)
 		return false
 	default:
 	}
@@ -257,9 +261,9 @@ func (s *Sub) deliver(e *core.Entry) bool {
 	}
 	select {
 	case s.out <- e:
-		s.delivered.Add(1)
 		return true
 	case <-s.stop:
+		s.delivered.Add(-1)
 		return false
 	}
 }
