@@ -769,8 +769,9 @@ func runBackup(store, archiveDir string) {
 			}
 			res.ColdVolumes = vols
 		}
-		// The NVRAM sidecar holds the staged (not yet sealed) tail block;
-		// a complete backup carries it along.
+		// The NVRAM sidecar holds the staged (not yet sealed) tail block
+		// and the staged seals not yet on the volume; a complete backup
+		// carries it along.
 		nvSrc := filepath.Join(d, "nvram.clio")
 		if data, err := os.ReadFile(nvSrc); err == nil {
 			if err := os.WriteFile(filepath.Join(dst, "nvram.clio"), data, 0o644); err != nil {

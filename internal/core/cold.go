@@ -78,8 +78,13 @@ func (f *FileState) Load() ([]byte, error) {
 }
 
 // Save implements StateStore.
-func (f *FileState) Save(data []byte) error {
-	tmp := f.path + ".tmp"
+func (f *FileState) Save(data []byte) error { return writeFileDurable(f.path, data) }
+
+// writeFileDurable replaces path with data so that a crash leaves either
+// the old contents or the new: write a temp file, fsync it, rename it over
+// path, fsync the directory.
+func writeFileDurable(path string, data []byte) error {
+	tmp := path + ".tmp"
 	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -98,11 +103,11 @@ func (f *FileState) Save(data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, f.path); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if d, err := os.Open(filepath.Dir(f.path)); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		d.Sync()
 		d.Close()
 	}

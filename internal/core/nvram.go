@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -122,150 +124,498 @@ func (m *MemNVRAM) LoadSealed() ([]int, [][]byte, error) {
 	return globals, images, nil
 }
 
-// FileNVRAM persists the staged tail block in a small sidecar file, giving
-// file-backed deployments the same crash durability the paper gets from
-// battery-backed RAM. The file layout is: global(u64) imageLen(u32) image
-// crc(u32); a torn write is detected by the checksum and treated as empty.
-// Recovery checkpoints (see checkpoint.go) apply the same torn-write rule
-// to entries on the write-once medium itself: anything that fails its
-// trailing checksum is treated as never written.
+// FileNVRAM persists the staged tail block and the staged seals in one
+// sidecar file, giving file-backed deployments the crash durability the
+// paper gets from battery-backed RAM. The file is a header page followed by
+// fixed-stride slots; the stride is a whole number of 4 KiB pages, so a
+// torn write can damage only the slot being written:
+//
+//	header: magic u32 | version u32 | stride u32 | crc u32
+//	slot:   seq u64 | global u64 | len u32 | image | crc32c
+//
+// Slots 0 and 1 hold the tail and alternate: Load returns the valid one
+// with the higher sequence number, so a torn store falls back to the
+// previous image. Slots 2 and up hold staged seals, and a zero sequence
+// number marks a free one. Store and StoreSealed are the ack barrier for
+// forced appends and pipelined seals: each is one pwrite and one fdatasync
+// on a held-open fd. Clear and DropSealed are one unsynced pwrite each; the
+// next sync covers them, and recovery tolerates their loss
+// (restoreTail, replayStagedSeals). Recovery checkpoints (see
+// checkpoint.go) apply the same torn-write rule to entries on the
+// write-once medium itself: anything that fails its trailing checksum is
+// treated as never written.
 type FileNVRAM struct {
-	mu   sync.Mutex
-	path string
+	mu         sync.Mutex
+	path       string
+	f          *os.File    // nil before first use and after Close
+	stride     int64       // slot size
+	size       int64       // file size
+	seq        uint64      // last sequence number written
+	next       int         // tail slot the next Store or Clear writes
+	sealed     map[int]int // staged seal global -> slot
+	free       []int       // seal slots not in use
+	buf        []byte      // record scratch
+	legacyGone bool        // legacy files removed: a missing sidecar is simply empty
 }
 
-// NewFileNVRAM returns an NVRAM backed by the given sidecar file.
+const (
+	nvMagic     = 0x564e4c43 // "CLNV"
+	nvVersion   = 1
+	nvPage      = 4096
+	nvHeader    = 16            // magic | version | stride | crc
+	nvRecHead   = 20            // seq | global | len
+	nvRecExtra  = nvRecHead + 4 // head and trailing crc
+	nvTailSlots = 2             // alternating tail slots
+	nvMinSlots  = nvTailSlots + maxPipeline
+)
+
+// nvRecord is one valid slot's contents.
+type nvRecord struct {
+	seq    uint64
+	slot   int
+	global int
+	image  []byte // nil: empty tail
+}
+
+// NewFileNVRAM returns an NVRAM backed by the given sidecar file. Nothing
+// is opened until the first call; a missing file reads as empty and the
+// first store creates it.
 func NewFileNVRAM(path string) *FileNVRAM { return &FileNVRAM{path: path} }
 
-// Store implements NVRAM. The image is written to a temp file and renamed,
-// so a crash mid-store preserves the previous staging.
+// Store implements NVRAM: the image goes to the tail slot not holding the
+// newest image, so a torn store leaves the previous one intact.
 func (f *FileNVRAM) Store(global int, image []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	buf := wire.PutUint64(nil, uint64(global))
-	buf = wire.PutUint32(buf, uint32(len(image)))
-	buf = append(buf, image...)
-	buf = wire.PutUint32(buf, wire.Checksum(buf))
-	tmp := f.path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := f.readyLocked(len(image)); err != nil {
 		return err
 	}
-	return os.Rename(tmp, f.path)
+	if err := f.putLocked(f.next, global, image); err != nil {
+		return err
+	}
+	if err := fdatasync(f.f); err != nil {
+		return err
+	}
+	f.next ^= 1
+	return nil
 }
 
 // Load implements NVRAM.
 func (f *FileNVRAM) Load() (int, []byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	buf, err := os.ReadFile(f.path)
-	if os.IsNotExist(err) {
-		return 0, nil, nil
-	}
-	if err != nil {
+	tail, _, err := f.loadLocked()
+	if err != nil || tail.image == nil {
 		return 0, nil, err
 	}
-	if len(buf) < 16 {
-		return 0, nil, nil
-	}
-	body, crcBytes := buf[:len(buf)-4], buf[len(buf)-4:]
-	crc, _ := wire.Uint32(crcBytes)
-	if wire.Checksum(body) != crc {
-		return 0, nil, nil // torn store: treat as empty
-	}
-	g, _ := wire.Uint64(body)
-	n, _ := wire.Uint32(body[8:])
-	img := body[12:]
-	if int(n) != len(img) {
-		return 0, nil, fmt.Errorf("clio: nvram file %s inconsistent", f.path)
-	}
-	out := make([]byte, len(img))
-	copy(out, img)
-	return int(g), out, nil
+	return tail.global, tail.image, nil
 }
 
-// Clear implements NVRAM.
+// Clear implements NVRAM by storing an empty tail record.
 func (f *FileNVRAM) Clear() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	err := os.Remove(f.path)
-	if os.IsNotExist(err) {
-		return nil
+	if ok, err := f.hasFileLocked(); !ok {
+		return err
 	}
-	return err
+	if err := f.putLocked(f.next, 0, nil); err != nil {
+		return err
+	}
+	f.next ^= 1
+	return nil
 }
 
-// sealedPath names the per-image sidecar for a staged sealed block.
-func (f *FileNVRAM) sealedPath(global int) string {
-	return f.path + fmt.Sprintf(".s%08d", global)
-}
-
-// StoreSealed implements StagingNVRAM: same CRC-framed tmp+rename layout as
-// Store, one sidecar file per in-flight seal.
+// StoreSealed implements StagingNVRAM: the image goes to a free seal slot,
+// growing the file by one slot when none is free.
 func (f *FileNVRAM) StoreSealed(global int, image []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	buf := wire.PutUint64(nil, uint64(global))
-	buf = wire.PutUint32(buf, uint32(len(image)))
-	buf = append(buf, image...)
-	buf = wire.PutUint32(buf, wire.Checksum(buf))
-	path := f.sealedPath(global)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := f.readyLocked(len(image)); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	slot := f.slots()
+	if n := len(f.free); n > 0 {
+		slot, f.free = f.free[n-1], f.free[:n-1]
+	}
+	err := f.putLocked(slot, global, image)
+	if err == nil {
+		err = fdatasync(f.f)
+	}
+	if err != nil {
+		f.free = append(f.free, slot)
+		return err
+	}
+	if old, ok := f.sealed[global]; ok {
+		_ = f.zeroLocked(old) // if lost, scanLocked keeps the newer copy
+		f.free = append(f.free, old)
+	}
+	f.sealed[global] = slot
+	return nil
 }
 
-// DropSealed implements StagingNVRAM.
+// DropSealed implements StagingNVRAM by zeroing the slot's sequence word.
 func (f *FileNVRAM) DropSealed(global int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	err := os.Remove(f.sealedPath(global))
-	if os.IsNotExist(err) {
+	if ok, err := f.hasFileLocked(); !ok {
+		return err
+	}
+	slot, ok := f.sealed[global]
+	if !ok {
 		return nil
 	}
-	return err
+	if err := f.zeroLocked(slot); err != nil {
+		return err
+	}
+	delete(f.sealed, global)
+	f.free = append(f.free, slot)
+	return nil
 }
 
-// LoadSealed implements StagingNVRAM. Torn sidecars (crash mid-StoreSealed)
+// LoadSealed implements StagingNVRAM. Torn slots (crash mid-StoreSealed)
 // are skipped: the seal they staged was never acked, because the ack
 // happens only after StoreSealed returns.
 func (f *FileNVRAM) LoadSealed() ([]int, [][]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	matches, err := filepath.Glob(f.path + ".s*")
+	_, seals, err := f.loadLocked()
 	if err != nil {
 		return nil, nil, err
 	}
 	var globals []int
 	var images [][]byte
-	for _, path := range matches {
-		if strings.HasSuffix(path, ".tmp") {
-			continue
-		}
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return nil, nil, err
-		}
-		if len(buf) < 16 {
-			continue
-		}
-		body, crcBytes := buf[:len(buf)-4], buf[len(buf)-4:]
-		crc, _ := wire.Uint32(crcBytes)
-		if wire.Checksum(body) != crc {
-			continue // torn store: never acked, safe to drop
-		}
-		g, _ := wire.Uint64(body)
-		n, _ := wire.Uint32(body[8:])
-		img := body[12:]
-		if int(n) != len(img) {
-			return nil, nil, fmt.Errorf("clio: nvram sidecar %s inconsistent", path)
-		}
-		globals = append(globals, int(g))
-		images = append(images, append([]byte(nil), img...))
+	for _, r := range seals {
+		globals = append(globals, r.global)
+		images = append(images, r.image)
 	}
 	return globals, images, nil
+}
+
+// Close releases the sidecar's file descriptor; the next call reopens it.
+func (f *FileNVRAM) Close() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.closeLocked()
+}
+
+// hasFileLocked opens the sidecar if it exists and reports whether it does.
+func (f *FileNVRAM) hasFileLocked() (bool, error) {
+	if f.f == nil {
+		if _, _, err := f.openLocked(); err != nil {
+			return false, err
+		}
+	}
+	return f.f != nil, nil
+}
+
+func (f *FileNVRAM) closeLocked() error {
+	if f.f == nil {
+		return nil
+	}
+	err := f.f.Close()
+	f.f = nil
+	return err
+}
+
+func (f *FileNVRAM) off(slot int) int64 { return nvPage + int64(slot)*f.stride }
+
+// slots returns how many slots the file spans, counting a torn last one.
+func (f *FileNVRAM) slots() int { return int((f.size - nvPage + f.stride - 1) / f.stride) }
+
+// strideFor returns the slot size for an image of n bytes.
+func strideFor(n int) int64 { return int64(n+nvRecExtra+nvPage-1) / nvPage * nvPage }
+
+// putLocked writes one record into a slot with a single pwrite. A slot
+// past the end of the file is written whole, so the file grows by full
+// slots.
+func (f *FileNVRAM) putLocked(slot, global int, image []byte) error {
+	off := f.off(slot)
+	n := nvRecExtra + len(image)
+	if off+f.stride > f.size {
+		n = int(f.stride)
+	}
+	if cap(f.buf) < n {
+		f.buf = make([]byte, f.stride)
+	}
+	buf := f.buf[:n]
+	f.seq++
+	clear(buf[encodeRecord(buf, f.seq, global, image):])
+	if _, err := f.f.WriteAt(buf, off); err != nil {
+		return err
+	}
+	f.size = max(f.size, off+int64(n))
+	return nil
+}
+
+// zeroLocked frees a slot on disk by zeroing its sequence word.
+func (f *FileNVRAM) zeroLocked(slot int) error {
+	var zero [8]byte
+	_, err := f.f.WriteAt(zero[:], f.off(slot))
+	return err
+}
+
+// encodeRecord writes a slot record into dst and returns its length.
+func encodeRecord(dst []byte, seq uint64, global int, image []byte) int {
+	le := binary.LittleEndian
+	le.PutUint64(dst, seq)
+	le.PutUint64(dst[8:], uint64(global))
+	le.PutUint32(dst[16:], uint32(len(image)))
+	end := nvRecHead + copy(dst[nvRecHead:], image)
+	le.PutUint32(dst[end:], wire.Checksum(dst[:end]))
+	return end + 4
+}
+
+// parseRecord decodes a slot; ok is false for a free or torn one.
+func parseRecord(b []byte, slot int) (r nvRecord, ok bool) {
+	le := binary.LittleEndian
+	if len(b) < nvRecExtra {
+		return r, false
+	}
+	n := int(le.Uint32(b[16:]))
+	if le.Uint64(b) == 0 || n > len(b)-nvRecExtra {
+		return r, false
+	}
+	end := nvRecHead + n
+	if wire.Checksum(b[:end]) != le.Uint32(b[end:]) {
+		return r, false
+	}
+	r = nvRecord{seq: le.Uint64(b), slot: slot, global: int(le.Uint64(b[8:]))}
+	if n > 0 {
+		r.image = b[nvRecHead:end]
+	}
+	return r, true
+}
+
+// readyLocked opens the sidecar, creating it on the first store, and makes
+// its slots fit an image of n bytes.
+func (f *FileNVRAM) readyLocked(n int) error {
+	ok, err := f.hasFileLocked()
+	if err != nil || ok && int64(n+nvRecExtra) <= f.stride {
+		return err
+	}
+	var tail nvRecord
+	var seals []nvRecord
+	if ok { // grow the stride, keeping what the file holds
+		if tail, seals, err = f.scanLocked(); err != nil {
+			return err
+		}
+	}
+	if err := f.rewriteLocked(strideFor(n), tail, seals); err != nil {
+		return err
+	}
+	_, _, err = f.scanLocked()
+	return err
+}
+
+// loadLocked returns the newest tail record and the staged seals as the
+// file holds them now.
+func (f *FileNVRAM) loadLocked() (nvRecord, []nvRecord, error) {
+	if f.f == nil {
+		return f.openLocked()
+	}
+	return f.scanLocked()
+}
+
+// openLocked opens the sidecar and rebuilds the slot state from it,
+// upgrading a legacy-layout sidecar first. With no sidecar on disk f.f
+// stays nil; the first store creates one.
+func (f *FileNVRAM) openLocked() (nvRecord, []nvRecord, error) {
+	fd, err := os.OpenFile(f.path, os.O_RDWR, 0)
+	if os.IsNotExist(err) {
+		if f.legacyGone {
+			return nvRecord{}, nil, nil
+		}
+		return f.upgradeLocked()
+	}
+	if err != nil {
+		return nvRecord{}, nil, err
+	}
+	le := binary.LittleEndian
+	var hdr [nvHeader]byte
+	if n, _ := fd.ReadAt(hdr[:], 0); n < nvHeader || le.Uint32(hdr[:]) != nvMagic {
+		fd.Close()
+		return f.upgradeLocked()
+	}
+	stride := int64(le.Uint32(hdr[8:]))
+	if le.Uint32(hdr[4:]) != nvVersion || wire.Checksum(hdr[:12]) != le.Uint32(hdr[12:]) ||
+		stride == 0 || stride%nvPage != 0 {
+		fd.Close()
+		return nvRecord{}, nil, fmt.Errorf("clio: nvram file %s: bad header", f.path)
+	}
+	f.f, f.stride = fd, stride
+	tail, seals, err := f.scanLocked()
+	if err != nil {
+		f.closeLocked()
+		return nvRecord{}, nil, err
+	}
+	// An upgrade cut short after its rename leaves legacy files whose
+	// contents this file already holds.
+	if err := f.removeLegacyLocked(); err != nil {
+		return nvRecord{}, nil, err
+	}
+	return tail, seals, nil
+}
+
+// scanLocked reads the whole sidecar and rebuilds the slot state from it.
+// It returns the newest tail record and the staged seals.
+func (f *FileNVRAM) scanLocked() (nvRecord, []nvRecord, error) {
+	st, err := f.f.Stat()
+	if err != nil {
+		return nvRecord{}, nil, err
+	}
+	data := make([]byte, st.Size())
+	if _, err := f.f.ReadAt(data, 0); err != nil && err != io.EOF {
+		return nvRecord{}, nil, err
+	}
+	f.size = st.Size()
+	slot := func(i int) []byte { return data[min(f.off(i), f.size):min(f.off(i+1), f.size)] }
+	f.seq, f.next = 0, 0
+	var tail nvRecord
+	for i := 0; i < nvTailSlots; i++ {
+		if r, ok := parseRecord(slot(i), i); ok && r.seq > tail.seq {
+			tail, f.next = r, i^1
+		}
+	}
+	f.seq = tail.seq
+	f.sealed = make(map[int]int)
+	f.free = f.free[:0]
+	byGlobal := make(map[int]nvRecord)
+	for i := f.slots() - 1; i >= nvTailSlots; i-- { // low slots end up on top of free
+		r, ok := parseRecord(slot(i), i)
+		if !ok || r.image == nil {
+			f.free = append(f.free, i)
+			continue
+		}
+		f.seq = max(f.seq, r.seq)
+		if old, dup := byGlobal[r.global]; dup {
+			// A replaced image whose zeroing was lost: keep the newer one.
+			if old.seq > r.seq {
+				old, r = r, old
+			}
+			_ = f.zeroLocked(old.slot) // if lost, the next scan repeats this
+			f.free = append(f.free, old.slot)
+		}
+		byGlobal[r.global] = r
+	}
+	seals := make([]nvRecord, 0, len(byGlobal))
+	for g, r := range byGlobal {
+		f.sealed[g] = r.slot
+		seals = append(seals, r)
+	}
+	return tail, seals, nil
+}
+
+// rewriteLocked replaces the sidecar with a fresh file of the given stride
+// holding tail and seals, and reopens it. writeFileDurable leaves either
+// the old file or the new one after a crash. This is the slow path:
+// creation, upgrade from the legacy layout, growth to a larger image. The
+// caller rebuilds the slot state with scanLocked.
+func (f *FileNVRAM) rewriteLocked(stride int64, tail nvRecord, seals []nvRecord) error {
+	slots := max(nvMinSlots, nvTailSlots+len(seals))
+	data := make([]byte, nvPage+int64(slots)*stride)
+	le := binary.LittleEndian
+	le.PutUint32(data, nvMagic)
+	le.PutUint32(data[4:], nvVersion)
+	le.PutUint32(data[8:], uint32(stride))
+	le.PutUint32(data[12:], wire.Checksum(data[:12]))
+	f.stride = stride
+	var seq uint64
+	if tail.image != nil {
+		seq++
+		encodeRecord(data[f.off(0):], seq, tail.global, tail.image)
+	}
+	for i, r := range seals {
+		seq++
+		encodeRecord(data[f.off(nvTailSlots+i):], seq, r.global, r.image)
+	}
+	f.closeLocked()
+	if err := writeFileDurable(f.path, data); err != nil {
+		return err
+	}
+	fd, err := os.OpenFile(f.path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	f.f = fd
+	return nil
+}
+
+// upgradeLocked converts a legacy-layout sidecar into the slot layout. The
+// legacy layout is one CRC-framed record, global u64 | len u32 | image |
+// crc32c, in the main file for the tail and in a path.sNNNNNNNN file per
+// staged seal. The new file is renamed into place before the legacy files
+// are removed, so a crash at any point keeps every staged image.
+func (f *FileNVRAM) upgradeLocked() (nvRecord, []nvRecord, error) {
+	var tail nvRecord
+	data, err := os.ReadFile(f.path)
+	if err == nil {
+		tail, _ = parseLegacy(data)
+	} else if !os.IsNotExist(err) {
+		return nvRecord{}, nil, err
+	}
+	legacy, err := filepath.Glob(f.path + ".s*")
+	if err != nil {
+		return nvRecord{}, nil, err
+	}
+	var seals []nvRecord
+	n := len(tail.image)
+	for _, p := range legacy {
+		if strings.HasSuffix(p, ".tmp") {
+			continue
+		}
+		data, err := os.ReadFile(p)
+		if err != nil && !os.IsNotExist(err) {
+			return nvRecord{}, nil, err
+		}
+		if r, ok := parseLegacy(data); ok {
+			seals = append(seals, r)
+			n = max(n, len(r.image))
+		}
+	}
+	if tail.image == nil && len(seals) == 0 {
+		// Nothing staged: a first open, or a legacy file left torn.
+		if err := os.Remove(f.path); err != nil && !os.IsNotExist(err) {
+			return nvRecord{}, nil, err
+		}
+		return nvRecord{}, nil, f.removeLegacyLocked()
+	}
+	if err := f.rewriteLocked(strideFor(n), tail, seals); err != nil {
+		return nvRecord{}, nil, err
+	}
+	if err := f.removeLegacyLocked(); err != nil {
+		return nvRecord{}, nil, err
+	}
+	return f.scanLocked()
+}
+
+// parseLegacy decodes a legacy-layout record; ok is false for a torn one.
+func parseLegacy(buf []byte) (r nvRecord, ok bool) {
+	if len(buf) < 16 {
+		return r, false
+	}
+	le := binary.LittleEndian
+	body := buf[:len(buf)-4]
+	if wire.Checksum(body) != le.Uint32(buf[len(buf)-4:]) || int(le.Uint32(body[8:])) != len(body)-12 {
+		return r, false
+	}
+	return nvRecord{global: int(le.Uint64(body)), image: body[12:]}, true
+}
+
+// removeLegacyLocked removes the legacy layout's staged-seal files and the
+// temp files either layout's writers leave behind, once per FileNVRAM.
+func (f *FileNVRAM) removeLegacyLocked() error {
+	if f.legacyGone {
+		return nil
+	}
+	legacy, err := filepath.Glob(f.path + ".s*")
+	if err != nil {
+		return err
+	}
+	for _, p := range append(legacy, f.path+".tmp") {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	f.legacyGone = true
+	return nil
 }

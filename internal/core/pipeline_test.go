@@ -190,6 +190,72 @@ func TestStagedSealAlreadyOnDeviceIdempotentReplay(t *testing.T) {
 	}
 }
 
+// lostDropNVRAM is a staging NVRAM whose drops never reach the medium: the
+// power-loss case for FileNVRAM, which syncs staged stores but not drops.
+type lostDropNVRAM struct{ *MemNVRAM }
+
+func (lostDropNVRAM) DropSealed(int) error { return nil }
+
+// TestReplayRecognizesEveryLandedStagedSeal loses every DropSealed, so
+// recovery finds all the pipelined seals still staged although their device
+// writes landed, some of them behind a damaged block that slid them past
+// their staging key. Recovery must recognize each on the device; appending
+// any of them again would duplicate its entries. A second crash, whose
+// recovery lost its drops as well, must recover the same log.
+func TestReplayRecognizesEveryLandedStagedSeal(t *testing.T) {
+	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
+	nv := lostDropNVRAM{NewMemNVRAM()}
+	opt := Options{BlockSize: 256, Degree: 16, CacheBlocks: -1, Now: lockedNow(), NVRAM: nv}
+	svc, err := New(dev, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustCreate(t, svc, "/lost")
+	var want []string
+	appendSome := func(n int) {
+		for i := 0; i < n; i++ {
+			p := fmt.Sprintf("entry-%03d-padding-padding", len(want))
+			mustAppend(t, svc, id, p, AppendOptions{Forced: true})
+			want = append(want, p)
+		}
+		if err := svc.SealTail(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendSome(16)
+	// Damage the next unwritten block: the seals that follow slide past it.
+	if err := dev.Damage(dev.Written(), nil); err != nil {
+		t.Fatal(err)
+	}
+	appendSome(16)
+	if got := svc.Stats().DeadBlocks; got != 1 {
+		t.Fatalf("DeadBlocks = %d, want 1", got)
+	}
+	staged, _, _ := nv.LoadSealed()
+	if len(staged) < 3 {
+		t.Fatalf("%d staged seals with lost drops, want >= 3", len(staged))
+	}
+	end := svc.End()
+
+	for round := 1; round <= 2; round++ {
+		svc.Crash()
+		svc, err = Open([]wodev.Device{dev}, opt)
+		if err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		if got := svc.LastRecovery().StagedSeals; got != len(staged) {
+			t.Errorf("round %d: StagedSeals = %d, want %d", round, got, len(staged))
+		}
+		if svc.End() != end {
+			t.Errorf("round %d: end = %d, want %d (a landed image was appended again)", round, svc.End(), end)
+		}
+		if got := datas(readAll(t, svc, "/lost")); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("round %d: read back %d entries, want %d exactly once in order", round, len(got), len(want))
+		}
+	}
+	svc.Close()
+}
+
 // TestPipelineStatsAndReset pins the new adaptivity observability: the
 // in-flight gauges (InflightSeals, StagedBytes) reflect live pipeline
 // state, the cumulative counters (PipelinedSeals, AdaptiveWaits, batch

@@ -156,10 +156,12 @@ func (s *Service) recover() error {
 
 // replayStagedSeals writes out sealed block images that were staged to the
 // NVRAM (and acked durable) but whose background device writes a crash cut
-// off (pipeline.go). The pipeline completes strictly in order, so at most
-// the oldest staged image can already be on the device — only its DropSealed
-// was lost; every other image is appended at the current end, sliding past
-// damaged blocks exactly as a live seal would.
+// off (pipeline.go). Staged stores are synced and drops are not, so any
+// number of images whose device writes landed can come back with their
+// drops lost. The pipeline completes strictly in order and slides only move
+// a block forward, so such an image sits somewhere in [origGlobal,
+// sealedEnd) and is recognized there; every other image is appended at the
+// current end, sliding past damaged blocks exactly as a live seal would.
 func (s *Service) replayStagedSeals() error {
 	nv, ok := s.opt.NVRAM.(StagingNVRAM)
 	if !ok {
@@ -182,10 +184,10 @@ func (s *Service) replayStagedSeals() error {
 		if i == 0 && g > s.sealedEnd {
 			return fmt.Errorf("clio: staged seal for block %d but device end is %d (missing volume?)", g, s.sealedEnd)
 		}
-		if i == 0 && s.sealedEnd > 0 && s.deviceHoldsImage(s.sealedEnd-1, img) {
-			// Already written just before the crash; nothing to replay.
-		} else if err := s.writeStagedImageLocked(img); err != nil {
-			return err
+		if !s.deviceHoldsImageFrom(g, img) {
+			if err := s.writeStagedImageLocked(img); err != nil {
+				return err
+			}
 		}
 		if err := nv.DropSealed(g); err != nil {
 			return fmt.Errorf("clio: nvram drop sealed: %w", err)
@@ -194,6 +196,17 @@ func (s *Service) replayStagedSeals() error {
 		s.stagedTailFrom = g + 1
 	}
 	return nil
+}
+
+// deviceHoldsImageFrom reports whether any device block in [from,
+// sealedEnd) holds the staged image.
+func (s *Service) deviceHoldsImageFrom(from int, staged []byte) bool {
+	for pos := from; pos < s.sealedEnd; pos++ {
+		if s.deviceHoldsImage(pos, staged) {
+			return true
+		}
+	}
+	return false
 }
 
 // deviceHoldsImage reports whether the device block at pos holds the staged

@@ -33,6 +33,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -799,6 +800,9 @@ func (s *Service) Close() error {
 	s.stopSealerLocked()
 	s.closedFlag.Store(true)
 	s.wakeTail()
+	if cerr := s.closeNVRAM(); err == nil {
+		err = cerr
+	}
 	return err
 }
 
@@ -816,6 +820,16 @@ func (s *Service) Crash() {
 	s.stopSealerLocked()
 	s.closedFlag.Store(true)
 	s.wakeTail()
+	s.closeNVRAM()
+}
+
+// closeNVRAM releases the NVRAM's resources (FileNVRAM's fd) when it holds
+// any; a later Open over the same NVRAM reacquires them.
+func (s *Service) closeNVRAM() error {
+	if c, ok := s.opt.NVRAM.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // Volumes returns the mounted volumes.
