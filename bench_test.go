@@ -48,17 +48,16 @@ func benchService(b *testing.B, blockSize, degree int, nv core.NVRAM) *core.Serv
 	return svc
 }
 
-// benchLatentService builds a service whose device really blocks for
-// writeDelay per block write (wodev.Latent), approximating the optical
+// benchDelayedService builds a service whose device really blocks for
+// writeDelay per block write (wodev.Injector.Delay), approximating the optical
 // disk's millisecond-scale access time (§3.2). The forced-append path then
 // spends real time inside each seal, which is the window that lets
 // concurrent forces pile up into a group commit — without it, an in-memory
 // seal is so fast that contention never forms (especially on one CPU).
-func benchLatentService(b *testing.B, blockSize, degree int, writeDelay time.Duration) *core.Service {
+func benchDelayedService(b *testing.B, blockSize, degree int, writeDelay time.Duration) *core.Service {
 	b.Helper()
-	dev := wodev.NewLatent(
-		wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 22}),
-		writeDelay, 0)
+	dev := wodev.Inject(wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 22}), 0)
+	dev.Delay(writeDelay, 0)
 	svc, err := core.New(dev, core.Options{
 		BlockSize: blockSize, Degree: degree, CacheBlocks: -1, Now: benchNow(),
 	})
@@ -535,7 +534,7 @@ func BenchmarkBackup(b *testing.B) {
 func BenchmarkForcedAppendParallel(b *testing.B) {
 	for _, g := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			svc := benchLatentService(b, 1024, 16, 200*time.Microsecond)
+			svc := benchDelayedService(b, 1024, 16, 200*time.Microsecond)
 			id, err := svc.CreateLog("/gc", 0, "")
 			if err != nil {
 				b.Fatal(err)
@@ -585,7 +584,7 @@ func BenchmarkForcedAppendParallelSharded(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			svcs := make([]*core.Service, n)
 			for i := range svcs {
-				svcs[i] = benchLatentService(b, 1024, 16, 200*time.Microsecond)
+				svcs[i] = benchDelayedService(b, 1024, 16, 200*time.Microsecond)
 			}
 			st, err := shard.New(svcs)
 			if err != nil {

@@ -48,35 +48,35 @@ func TestChaos(t *testing.T) {
 	// MaxConsecutive(2) keeps runs of injected faults inside the core retry
 	// budget, so steady-state traffic is fully masked.
 	var devMu sync.Mutex
-	var flakies []*wodev.Flaky
+	var injectors []*wodev.Injector
 	var bases []*wodev.MemDevice
 	var devs []wodev.Device
 	addDevice := func() wodev.Device {
 		devMu.Lock()
 		defer devMu.Unlock()
 		base := wodev.NewMem(wodev.MemOptions{BlockSize: blockSz, Capacity: volCap})
-		f := wodev.NewFlaky(base, int64(7700+len(flakies)))
+		f := wodev.Inject(base, int64(7700+len(injectors)))
 		f.Sleep = func(time.Duration) {}
 		f.FailReads(0.04)
 		f.FailAppends(0.04)
 		f.Spike(0.01, time.Microsecond)
 		f.MaxConsecutive(2)
 		bases = append(bases, base)
-		flakies = append(flakies, f)
+		injectors = append(injectors, f)
 		devs = append(devs, f)
 		return f
 	}
 	pauseAll := func() {
 		devMu.Lock()
 		defer devMu.Unlock()
-		for _, f := range flakies {
+		for _, f := range injectors {
 			f.Pause()
 		}
 	}
 	resumeAll := func() {
 		devMu.Lock()
 		defer devMu.Unlock()
-		for _, f := range flakies {
+		for _, f := range injectors {
 			f.Resume()
 		}
 	}

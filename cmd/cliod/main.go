@@ -36,8 +36,8 @@
 //
 // -force-window controls the group-commit policy: 0 (the default) sizes the
 // gather window adaptively from the observed arrival rate and seal latency,
-// a positive duration pins a fixed window, and a negative value restores the
-// legacy leader/rider queue with no window and no seal pipeline.
+// and a negative value restores the legacy leader/rider queue with no window
+// and no seal pipeline. A positive value is refused.
 //
 // -compact-interval enables background space reclamation: every interval,
 // each shard copies the live entries of mostly-dead sealed volumes forward,
@@ -218,7 +218,7 @@ func main() {
 	flag.String("advertise", "", "address peers and redirected clients reach this node at (default -listen)")
 	flag.String("role", def.Role, "initial cluster role: leader or follower")
 	flag.Int("quorum", def.Quorum, "replicas (leader included) that must stage a write before it is acked")
-	flag.Duration("force-window", 0, "group-commit gather window: 0 sizes it adaptively from the arrival rate, >0 pins a fixed window, <0 restores the legacy leader/rider queue (no window, no seal pipeline)")
+	flag.Duration("force-window", 0, "group-commit gather window: 0 sizes it adaptively from the arrival rate, <0 restores the legacy leader/rider queue (no window, no seal pipeline); >0 is refused")
 	flag.Duration("compact-interval", 0, "run a compaction pass on every shard this often; 0 disables background reclamation")
 	flag.Float64("compact-max-live", 0, "max fraction of live blocks for a volume to be compacted (0 = default 0.5)")
 	flag.Int("compact-min-hot", 0, "minimum volumes kept mounted per shard (0 = default 2)")

@@ -32,6 +32,7 @@ import (
 	"strings"
 	"sync"
 
+	"clio/internal/durable"
 	"clio/internal/volume"
 	"clio/internal/wodev"
 )
@@ -71,7 +72,7 @@ type Backend interface {
 // nothing until a volume is actually demoted.
 type Dir struct {
 	root string
-	mu   sync.Mutex // serializes mkdir and Put's tmp+rename
+	mu   sync.Mutex // serializes mkdir
 }
 
 // NewDir returns a Backend over the given directory.
@@ -95,11 +96,7 @@ func (d *Dir) Put(ctx context.Context, name string, data []byte) error {
 	if err := d.ensure(); err != nil {
 		return err
 	}
-	tmp := d.path(name + ".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, d.path(name))
+	return durable.WriteFile(d.path(name), data)
 }
 
 func (d *Dir) WriteAt(ctx context.Context, name string, off int64, data []byte) error {

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"clio/internal/core"
+	"clio/internal/durable"
 	"clio/internal/obs"
 	"clio/internal/server"
 	"clio/internal/shard"
@@ -220,18 +221,14 @@ func New(cfg Config) (*Node, error) {
 }
 
 // persistTerm records term in cfg.TermPath so a restart cannot regress the
-// node's term arbitration; the write is atomic (temp file + rename) so a
-// crash mid-write leaves the old term, never garbage. No-op without a
+// node's term arbitration; the write is durable and atomic, so a crash or
+// power loss mid-write leaves the old term, never garbage. No-op without a
 // path. Small, rare writes: safe to call with n.mu held.
 func (n *Node) persistTerm(term uint64) error {
 	if n.cfg.TermPath == "" {
 		return nil
 	}
-	tmp := n.cfg.TermPath + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(term, 10)+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, n.cfg.TermPath)
+	return durable.WriteFile(n.cfg.TermPath, []byte(strconv.FormatUint(term, 10)+"\n"))
 }
 
 // loadTerm reads a persisted term; a missing file is term 0 (fresh node).

@@ -65,7 +65,9 @@ func TestFollowerApplyOrderMatchesLeaderSealOrder(t *testing.T) {
 			// enough for concurrent forces to pile into group commits — the
 			// ordering property is only interesting under that overlap.
 			for s := range devs {
-				devs[s][0] = wodev.NewLatent(devs[s][0], 300*time.Microsecond, 0)
+				dev := wodev.Inject(devs[s][0], 0)
+				dev.Delay(300*time.Microsecond, 0)
+				devs[s][0] = dev
 			}
 		}
 		peers := make([]string, 0, 2)

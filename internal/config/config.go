@@ -321,6 +321,9 @@ func (c *Config) Validate() error {
 	if c.DrainTimeout < 0 {
 		return bad("drain-timeout %s is negative", c.DrainTimeout)
 	}
+	if c.ForceWindow > 0 {
+		return bad("force-window %s: only 0 (adaptive) or negative (leader/rider queue) is supported", c.ForceWindow)
+	}
 	if c.Role != "leader" && c.Role != "follower" {
 		return bad("role must be leader or follower, not %q", c.Role)
 	}

@@ -112,6 +112,7 @@ func TestValidateRejections(t *testing.T) {
 		{"max-live above 1", func(c *Config) error { return c.Set("compact-max-live", "1.5") }, "outside (0,1]"},
 		{"max-live negative", func(c *Config) error { return c.Set("compact-max-live", "-0.1") }, "outside (0,1]"},
 		{"negative drain", func(c *Config) error { return c.Set("drain-timeout", "-1s") }, "negative"},
+		{"fixed force window", func(c *Config) error { return c.Set("force-window", "1ms") }, "force-window"},
 		{"bad role", func(c *Config) error { return c.Set("role", "observer") }, "role"},
 		{"cluster flag without peers", func(c *Config) error { return c.Set("quorum", "3") }, "without peers"},
 		{"advertise without peers", func(c *Config) error { return c.Set("advertise", "a:1") }, "without peers"},

@@ -215,38 +215,28 @@ func (s *Service) drainForceQ() []*forceReq {
 }
 
 // gatherForce optionally holds the leader's batch open to collect more
-// riders before committing. With CommitWindow > 0 the window is fixed; at 0
-// (the default) it adapts: the target batch size is the number of arrivals
-// expected during one commit (commit latency / inter-arrival time), and the
-// leader waits at most one commit's worth of time to reach it. A lone writer
-// (arrivals slower than half the commit latency) commits immediately, so the
+// riders before committing. At CommitWindow 0 (the default) the window
+// adapts: the target batch size is the number of arrivals expected during
+// one commit (commit latency / inter-arrival time), and the leader waits at
+// most one commit's worth of time to reach it. A lone writer (arrivals
+// slower than half the commit latency) commits immediately, so the
 // idle-path latency is untouched; a storm coalesces into near-ideal batches
 // instead of the convoy the bare leader/rider queue forms.
 func (s *Service) gatherForce(batch []*forceReq) []*forceReq {
-	cw := s.opt.CommitWindow
-	if cw < 0 || len(batch) == 0 {
+	if s.opt.CommitWindow < 0 || len(batch) == 0 {
 		return batch
 	}
-	var window time.Duration
-	target := int(^uint(0) >> 1)
-	if cw > 0 {
-		window = cw
-	} else {
-		commit := s.commitEWMA.Load()
-		inter := s.arrivalEWMA.Load()
-		if commit < int64(windowFloor) || inter == 0 || inter*2 > commit {
-			return batch
-		}
-		target = int(commit / inter)
-		if target <= len(batch) {
-			return batch
-		}
-		window = time.Duration(commit)
-		if window > windowCap {
-			window = windowCap
-		}
-		s.adaptiveWaits.Add(1)
+	commit := s.commitEWMA.Load()
+	inter := s.arrivalEWMA.Load()
+	if commit < int64(windowFloor) || inter == 0 || inter*2 > commit {
+		return batch
 	}
+	target := int(commit / inter)
+	if target <= len(batch) {
+		return batch
+	}
+	window := min(time.Duration(commit), windowCap)
+	s.adaptiveWaits.Add(1)
 	s.windowNanos.Store(int64(window))
 	timer := time.NewTimer(window)
 	defer timer.Stop()

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"clio/internal/archive"
+	"clio/internal/durable"
 	"clio/internal/wire"
 )
 
@@ -78,41 +78,7 @@ func (f *FileState) Load() ([]byte, error) {
 }
 
 // Save implements StateStore.
-func (f *FileState) Save(data []byte) error { return writeFileDurable(f.path, data) }
-
-// writeFileDurable replaces path with data so that a crash leaves either
-// the old contents or the new: write a temp file, fsync it, rename it over
-// path, fsync the directory.
-func writeFileDurable(path string, data []byte) error {
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := tf.Write(data); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
+func (f *FileState) Save(data []byte) error { return durable.WriteFile(f.path, data) }
 
 // MemState is an in-memory StateStore for tests; it survives service
 // crash/reopen cycles within one process the way a file would across them.

@@ -21,9 +21,9 @@ import (
 // successor's batch — essential on a single-CPU runner, where fast
 // uncontended loops otherwise never interleave.
 func latentMem(blockSize int, writeDelay time.Duration) wodev.Device {
-	return wodev.NewLatent(
-		wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 18}),
-		writeDelay, 0)
+	dev := wodev.Inject(wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 18}), 0)
+	dev.Delay(writeDelay, 0)
+	return dev
 }
 
 func lockedNow() func() int64 {
@@ -34,6 +34,27 @@ func lockedNow() func() int64 {
 		defer mu.Unlock()
 		now += 1000
 		return now
+	}
+}
+
+// TestPositiveCommitWindowRefused pins the two supported commit policies:
+// 0 (adaptive) and negative (leader/rider queue). A fixed window is refused
+// before the device is formatted.
+func TestPositiveCommitWindowRefused(t *testing.T) {
+	mem := wodev.NewMem(wodev.MemOptions{BlockSize: 1024, Capacity: 64})
+	if _, err := New(mem, Options{BlockSize: 1024, CommitWindow: time.Millisecond}); err == nil {
+		t.Fatal("New accepted a positive CommitWindow")
+	}
+	if mem.Written() != 0 {
+		t.Fatalf("refused New still wrote %d blocks", mem.Written())
+	}
+	for _, cw := range []time.Duration{0, -1} {
+		svc, err := New(wodev.NewMem(wodev.MemOptions{BlockSize: 1024, Capacity: 64}),
+			Options{BlockSize: 1024, CommitWindow: cw})
+		if err != nil {
+			t.Fatalf("CommitWindow %v: %v", cw, err)
+		}
+		svc.Close()
 	}
 }
 

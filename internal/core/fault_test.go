@@ -66,7 +66,7 @@ func TestDegradedAppendRelocates(t *testing.T) {
 func TestTransientAppendFaultsMaskedByRetry(t *testing.T) {
 	tc := &testClock{}
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
-	flaky := wodev.NewFlaky(dev, 7)
+	flaky := wodev.Inject(dev, 7)
 	flaky.FailAppends(0.4)
 	flaky.MaxConsecutive(2) // retry budget of 4 always wins
 	opt := Options{BlockSize: 256, Degree: 4, Now: tc.Now, Retry: quickRetry()}
@@ -87,7 +87,7 @@ func TestTransientAppendFaultsMaskedByRetry(t *testing.T) {
 	if got := datas(readAll(t, s, "/flap")); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("entries mismatch after flaky appends")
 	}
-	if st := flaky.FaultStats(); st.AppendFaults == 0 {
+	if st := flaky.Counts(); st.AppendFaults == 0 {
 		t.Fatal("flaky injected nothing; test is vacuous")
 	}
 	if s.Stats().DeadBlocks != 0 {

@@ -93,7 +93,7 @@ func (s *Service) readDeviceBlock(v *volume.Volume, devIdx int, buf []byte, vali
 		if ferr := s.opt.Faults.Fire(FaultReadBlock); ferr != nil {
 			return ferr
 		}
-		if mv, ok := v.Dev.(validatedReader); ok {
+		if mv, ok := v.Dev.(wodev.ValidatedReader); ok {
 			return mv.ReadValidated(devIdx, buf, valid)
 		}
 		return v.Dev.ReadBlock(devIdx, buf)

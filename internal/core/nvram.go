@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"clio/internal/durable"
 	"clio/internal/wire"
 )
 
@@ -506,7 +507,7 @@ func (f *FileNVRAM) scanLocked() (nvRecord, []nvRecord, error) {
 }
 
 // rewriteLocked replaces the sidecar with a fresh file of the given stride
-// holding tail and seals, and reopens it. writeFileDurable leaves either
+// holding tail and seals, and reopens it. durable.WriteFile leaves either
 // the old file or the new one after a crash. This is the slow path:
 // creation, upgrade from the legacy layout, growth to a larger image. The
 // caller rebuilds the slot state with scanLocked.
@@ -529,7 +530,7 @@ func (f *FileNVRAM) rewriteLocked(stride int64, tail nvRecord, seals []nvRecord)
 		encodeRecord(data[f.off(nvTailSlots+i):], seq, r.global, r.image)
 	}
 	f.closeLocked()
-	if err := writeFileDurable(f.path, data); err != nil {
+	if err := durable.WriteFile(f.path, data); err != nil {
 		return err
 	}
 	fd, err := os.OpenFile(f.path, os.O_RDWR, 0)

@@ -325,22 +325,22 @@ func TestGarbageWrittenBlocksDoNotSinkVolume(t *testing.T) {
 	tc := &testClock{}
 	opt := Options{BlockSize: 256, Degree: 4, Now: tc.Now, CacheBlocks: -1}
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
-	faulty := wodev.NewFaulty(dev, 99)
-	s, err := New(faulty, opt)
+	damager := wodev.Inject(dev, 99)
+	s, err := New(damager, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := mustCreate(t, s, "/g")
 	// Every 5th sealed block is scribbled after the fact.
-	faulty.SetGarbageEvery(5)
+	damager.GarbageEvery(5)
 	total := 0
 	for i := 0; i < 120; i++ {
 		mustAppend(t, s, id, fmt.Sprintf("e%03d", i), AppendOptions{Forced: true})
 		total++
 	}
-	faulty.SetGarbageEvery(0)
+	damager.GarbageEvery(0)
 	s.Crash()
-	s2, err := Open([]wodev.Device{faulty}, opt)
+	s2, err := Open([]wodev.Device{damager}, opt)
 	if err != nil {
 		t.Fatalf("recovery over damaged volume: %v", err)
 	}

@@ -117,20 +117,19 @@ type Options struct {
 	// written portion. 0 (the default) disables both sides; a store
 	// written with checkpoints remains fully openable without them.
 	CheckpointInterval int
-	// CommitWindow controls the group-commit gather window for forced
-	// appends. 0 (the default) sizes the window adaptively from EWMAs of
-	// the arrival rate and the observed commit latency — a lone writer
-	// commits immediately, a storm coalesces into large batches. A positive
-	// duration pins a fixed gather window (the escape hatch for
-	// reproducibility). A negative value disables both the window and the
-	// pipelined sealer, restoring the original leader/rider-only path; it
-	// is also what experiments pin to keep vclock charges deterministic.
+	// CommitWindow selects the group-commit policy for forced appends.
+	// 0 (the default) sizes a gather window adaptively from EWMAs of the
+	// arrival rate and the observed commit latency — a lone writer commits
+	// immediately, a storm coalesces into large batches. A negative value
+	// disables both the window and the pipelined sealer, restoring the
+	// original leader/rider-only path; it is also what experiments pin to
+	// keep vclock charges deterministic. Positive values are refused.
 	//
 	// When the configured NVRAM implements StagingNVRAM and CommitWindow is
-	// non-negative, full-block seals are pipelined: the sealed image is
-	// made durable in NVRAM, the force acks, and the write-once device
-	// write proceeds on a background sealer while the next batch
-	// accumulates (bounded in-flight window, in-order completion).
+	// 0, full-block seals are pipelined: the sealed image is made durable
+	// in NVRAM, the force acks, and the write-once device write proceeds on
+	// a background sealer while the next batch accumulates (bounded
+	// in-flight window, in-order completion).
 	CommitWindow time.Duration
 	// Cold, when non-nil, enables the space-reclamation compactor and the
 	// cold storage tier: CompactOnce copies the live entries of old sealed
@@ -162,6 +161,14 @@ func (o Options) withDefaults() Options {
 		o.DisplacementLimit = o.Degree
 	}
 	return o
+}
+
+// check rejects options no service can run with.
+func (o Options) check() error {
+	if o.CommitWindow > 0 {
+		return fmt.Errorf("clio: CommitWindow %s: only 0 (adaptive) and negative (leader/rider queue) are supported", o.CommitWindow)
+	}
+	return nil
 }
 
 // Stats aggregates service activity, including the space-overhead accounting
@@ -483,6 +490,9 @@ func (s *Service) endShared() int {
 // time and the device geometry.
 func New(dev wodev.Device, opt Options) (*Service, error) {
 	opt = opt.withDefaults()
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
 	if dev.BlockSize() != opt.BlockSize {
 		return nil, fmt.Errorf("clio: device block size %d != option %d", dev.BlockSize(), opt.BlockSize)
 	}
@@ -515,6 +525,9 @@ func Open(devs []wodev.Device, opt Options) (*Service, error) {
 	opt = opt.withDefaults()
 	if len(devs) == 0 {
 		return nil, errors.New("clio: no devices to mount")
+	}
+	if err := opt.check(); err != nil {
+		return nil, err
 	}
 	s := &Service{
 		opt:            opt,

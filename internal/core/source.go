@@ -260,11 +260,6 @@ func (s *Service) readColdBlock(global int) ([]byte, error) {
 	return buf, nil
 }
 
-// validatedReader is implemented by mirrored devices.
-type validatedReader interface {
-	ReadValidated(idx int, dst []byte, valid func([]byte) bool) error
-}
-
 // decodedBlock is one block's interpreted form: its parse plus the derived
 // per-record effective timestamps. For device-durable (hence immutable)
 // blocks it is attached to the block's cache entry, so a warm read decodes

@@ -152,10 +152,8 @@ func RunForce(cfg ForceConfig) (*ForceReport, error) {
 // in-memory device.
 func newForceService(nvram bool, window, devLat time.Duration) (*core.Service, error) {
 	mem := wodev.NewMem(wodev.MemOptions{BlockSize: 2048, Capacity: 1 << 16})
-	var dev wodev.Device = mem
-	if devLat > 0 {
-		dev = wodev.NewLatent(mem, devLat, 0)
-	}
+	dev := wodev.Inject(mem, 0)
+	dev.Delay(devLat, 0)
 	var nv core.NVRAM
 	if nvram {
 		nv = core.NewMemNVRAM()

@@ -178,9 +178,7 @@ type scrubber struct {
 // then masks a damaged primary, and repair must NOT invalidate the block —
 // doing so would destroy the good copy too.
 func readBlock(v *volume.Volume, local int, buf []byte) error {
-	if m, ok := v.Dev.(interface {
-		ReadValidated(int, []byte, func([]byte) bool) error
-	}); ok {
+	if m, ok := v.Dev.(wodev.ValidatedReader); ok {
 		return m.ReadValidated(v.DeviceBlock(local), buf, blockfmt.Validate)
 	}
 	return v.Dev.ReadBlock(v.DeviceBlock(local), buf)

@@ -14,7 +14,7 @@ import (
 // the whole open stays within 2× the slowest single shard's recovery —
 // not the sum. The shards carry deliberately unequal amounts of sealed
 // data, each reopened device really sleeps per block read
-// (wodev.Latent), and each shard charges its own virtual clock with the
+// (wodev.Injector.Delay), and each shard charges its own virtual clock with the
 // same per-read cost, so the per-shard vclock totals are the per-shard
 // recovery times and the slowest shard's charge is the parallel lower
 // bound.
@@ -68,7 +68,9 @@ func TestParallelRecovery(t *testing.T) {
 	opts := make([]core.Options, shards)
 	clks := make([]*vclock.Clock, shards)
 	for i := range devs {
-		devs[i] = []wodev.Device{wodev.NewLatent(mems[i], 0, readDelay)}
+		dev := wodev.Inject(mems[i], 0)
+		dev.Delay(0, readDelay)
+		devs[i] = []wodev.Device{dev}
 		clks[i] = vclock.New(vclock.CostModel{DeviceSeek: readDelay})
 		now := int64(1 << 40)
 		opts[i] = core.Options{

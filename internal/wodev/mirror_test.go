@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-
-	"clio/internal/vclock"
 )
 
 func mirrorPair(t *testing.T) (*Mirror, *MemDevice, *MemDevice) {
@@ -126,22 +124,42 @@ func TestMirrorWrittenUnknownPropagates(t *testing.T) {
 	}
 }
 
-func TestTimedWrapperCharges(t *testing.T) {
-	dev := NewMem(MemOptions{BlockSize: 1024, Capacity: 8})
-	clk := vclock.New(vclock.DefaultModel())
-	td := NewTimed(dev, clk)
-	if _, err := td.AppendBlock(fill(1024, 1)); err != nil {
+func TestMirrorReplicaErrorAccounting(t *testing.T) {
+	a := NewMem(MemOptions{BlockSize: 64, Capacity: 16})
+	b := NewMem(MemOptions{BlockSize: 64, Capacity: 16})
+	m, err := NewMirror(a, b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	writeCost := clk.Elapsed()
-	if writeCost <= 0 || writeCost >= clk.Model().DeviceSeek {
-		t.Errorf("append charged %v (appends are sequential: transfer only)", writeCost)
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = 0xAB
 	}
-	clk.Reset()
-	if err := td.ReadBlock(0, make([]byte, 1024)); err != nil {
+	if _, err := m.AppendBlock(data); err != nil {
 		t.Fatal(err)
 	}
-	if clk.Elapsed() < clk.Model().DeviceSeek {
-		t.Errorf("read charged %v, want >= one seek", clk.Elapsed())
+	// Damage the primary's copy: reads must fail over and account the error.
+	if err := a.Damage(0, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 64)
+	if err := m.ReadValidated(0, dst, func(p []byte) bool { return p[0] == 0xAB }); err != nil {
+		t.Fatalf("mirror read with damaged primary: %v", err)
+	}
+	if dst[0] != 0xAB {
+		t.Fatal("read returned primary's garbage, not the replica copy")
+	}
+	errs := m.ReplicaErrors()
+	if errs[0] != 1 || errs[1] != 0 {
+		t.Fatalf("ReplicaErrors = %v, want [1 0]", errs)
+	}
+	if m.Failovers() != 1 {
+		t.Fatalf("Failovers = %d, want 1", m.Failovers())
+	}
+	if m.LastReplicaError(0) == nil {
+		t.Fatal("LastReplicaError(0) = nil")
+	}
+	if m.LastReplicaError(1) != nil {
+		t.Fatalf("LastReplicaError(1) = %v, want nil", m.LastReplicaError(1))
 	}
 }

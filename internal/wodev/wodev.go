@@ -19,8 +19,8 @@
 //     forcing recovery code to binary-search for the end (§2.3.1).
 //
 // Implementations: MemDevice (in-memory), FileDevice (file-backed, one file
-// per volume). Wrappers: Faulty (fault injection) and Timed (virtual-clock
-// charging) compose over any Device.
+// per volume). Wrappers compose over any Device: Mirror (replicated
+// volumes) and Injector (a seeded fault and latency schedule).
 package wodev
 
 import (
@@ -45,11 +45,12 @@ var (
 	ErrInvalidated = errors.New("wodev: block invalidated")
 	// ErrOutOfRange is returned for block indices beyond device capacity.
 	ErrOutOfRange = errors.New("wodev: block index out of range")
-	// ErrCorrupt is returned when appending onto a damaged unwritten block.
+	// ErrCorrupt is returned when appending onto a damaged unwritten block,
+	// and by a validated read whose block image fails validation.
 	ErrCorrupt = errors.New("wodev: block damaged, cannot be written")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("wodev: device closed")
-	// ErrTransient is returned by fault-injecting wrappers (Flaky) for
+	// ErrTransient is returned by the fault-injecting wrapper (Injector) for
 	// per-operation soft failures — the operation did not happen, and a
 	// retry may succeed. It classifies as faults.Transient, unlike the
 	// permanent media errors above.
@@ -68,6 +69,13 @@ type Stats struct {
 	Invalidations int64 // blocks invalidated
 	Seeks         int64 // reads that were not sequential with the previous access
 	Probes        int64 // reads of unwritten blocks (end-finding probes)
+}
+
+// ValidatedReader is implemented by devices that check a block image before
+// returning it: a Mirror tries each replica until valid accepts one, so an
+// intact copy masks a silently damaged one.
+type ValidatedReader interface {
+	ReadValidated(idx int, dst []byte, valid func([]byte) bool) error
 }
 
 // Device is a write-once block device.
